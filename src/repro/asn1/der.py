@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import DERDecodeError, DEREncodeError
 from .oid import ObjectIdentifier
 from .strings import STRING_SPECS, StringSpec
-from .tags import Tag, TagClass, UniversalTag, decode_tag
+from .tags import SHORT_TAGS, Tag, TagClass, UniversalTag, decode_tag
 
 # ---------------------------------------------------------------------------
 # Length octets
@@ -75,6 +75,10 @@ class Element:
     children: list["Element"] = field(default_factory=list)
     #: Byte offset of the element's identifier octet in the parsed input.
     offset: int = 0
+    #: Byte offset one past the element's last content octet in the
+    #: parsed input, so ``input[offset:end]`` is the element exactly as
+    #: received (0 for elements built for encoding).
+    end: int = 0
 
     # -- constructors -------------------------------------------------
 
@@ -135,10 +139,22 @@ class Element:
 
 def _parse_element(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:
     start = offset
-    tag, offset = decode_tag(data, offset)
-    length, offset = decode_length(data, offset, strict)
+    size = len(data)
+    # Fast paths for the single-octet identifier and the short-form
+    # length; every other form (and every error) goes through the
+    # general codecs, so accepted inputs and messages are unchanged.
+    tag = SHORT_TAGS[data[offset]] if offset < size else None
+    if tag is None:
+        tag, offset = decode_tag(data, offset)
+    else:
+        offset += 1
+    if offset < size and data[offset] < 0x80:
+        length = data[offset]
+        offset += 1
+    else:
+        length, offset = decode_length(data, offset, strict)
     end = offset + length
-    if end > len(data):
+    if end > size:
         raise DERDecodeError(f"content overruns input ({length} octets promised)", offset)
     if tag.constructed:
         children = []
@@ -147,11 +163,8 @@ def _parse_element(data: bytes, offset: int, strict: bool) -> tuple[Element, int
             children.append(child)
         if offset != end:
             raise DERDecodeError("constructed content length mismatch", offset)
-        element = Element(tag=tag, children=children, offset=start)
-    else:
-        element = Element(tag=tag, content=data[offset:end], offset=start)
-        offset = end
-    return element, offset
+        return Element(tag, b"", children, start, end), end
+    return Element(tag, data[offset:end], [], start, end), end
 
 
 def parse(data: bytes, strict: bool = True) -> Element:
@@ -321,16 +334,49 @@ def encode_time(value: _dt.datetime) -> Element:
 
 
 def decode_time(element: Element) -> _dt.datetime:
-    """Decode a UTCTime or GeneralizedTime per RFC 5280 rules."""
-    text = element.content.decode("ascii", errors="replace")
+    """Decode a UTCTime or GeneralizedTime per RFC 5280 rules.
+
+    The canonical ``YYMMDDHHMMSSZ`` / ``YYYYMMDDHHMMSSZ`` form with ASCII
+    digits is read by position.  Any other content, and any value the
+    positional read rejects, takes the ``strptime`` path, so the
+    accepted values and the error messages are those of ``strptime``.
+    """
+    content = element.content
+    number = element.tag.number
+    if number == UniversalTag.UTC_TIME:
+        width = 13
+    elif number == UniversalTag.GENERALIZED_TIME:
+        width = 15
+    else:
+        width = -1
+    if len(content) == width and content[-1] == 0x5A and content[:-1].isdigit():
+        if width == 13:
+            year = (content[0] - 48) * 10 + content[1] - 48
+            # RFC 5280: two-digit years 00-49 mean 20xx, 50-99 mean 19xx.
+            year += 2000 if year < 50 else 1900
+        else:
+            year = int(content[:4])
+        rest = content[width - 11 : -1]
+        try:
+            return _dt.datetime(
+                year,
+                int(rest[0:2]),
+                int(rest[2:4]),
+                int(rest[4:6]),
+                int(rest[6:8]),
+                int(rest[8:10]),
+            )
+        except ValueError:
+            pass
+    text = content.decode("ascii", errors="replace")
     try:
-        if element.tag.number == UniversalTag.UTC_TIME:
+        if number == UniversalTag.UTC_TIME:
             parsed = _dt.datetime.strptime(text, _UTC_FORMAT)
             # RFC 5280: two-digit years 00-49 mean 20xx, 50-99 mean 19xx.
             if parsed.year >= 2050:
                 parsed = parsed.replace(year=parsed.year - 100)
             return parsed
-        if element.tag.number == UniversalTag.GENERALIZED_TIME:
+        if number == UniversalTag.GENERALIZED_TIME:
             return _dt.datetime.strptime(text, _GENERALIZED_FORMAT)
     except ValueError as exc:
         raise DERDecodeError(f"malformed time {text!r}: {exc}", element.offset) from exc

@@ -51,7 +51,16 @@ class ObjectIdentifier:
 
     @classmethod
     def decode_value(cls, data: bytes) -> "ObjectIdentifier":
-        """Decode content octets into an OID."""
+        """Decode content octets into an OID.
+
+        Decoded OIDs are interned by their content octets (the objects
+        are frozen, so sharing one is safe); malformed octets raise on
+        every call and are never remembered.
+        """
+        data = bytes(data)
+        found = _DECODED.get(data)
+        if found is not None:
+            return found
         if not data:
             raise DERDecodeError("empty OID value")
         arcs: list[int] = []
@@ -76,10 +85,19 @@ class ObjectIdentifier:
         else:
             root, second = 2, first - 80
         dotted = ".".join(str(arc) for arc in (root, second, *arcs[1:]))
-        return cls(dotted)
+        found = cls(dotted)
+        if len(_DECODED) < _DECODED_MAX:
+            _DECODED[data] = found
+        return found
 
     def __str__(self) -> str:
         return self.dotted
+
+
+#: Interned decoded OIDs, keyed by content octets.  Certificates repeat
+#: a few dozen OIDs; the cap bounds what adversarial inputs can add.
+_DECODED: dict[bytes, ObjectIdentifier] = {}  # staticcheck: process-local
+_DECODED_MAX = 4096
 
 
 def oid(dotted: str) -> ObjectIdentifier:

@@ -123,17 +123,26 @@ class Tag:
         return f"{name}{' (constructed)' if self.constructed else ''}"
 
 
+#: The tag of every single-octet identifier, indexed by that octet;
+#: ``None`` marks the high-tag-number form (low five bits all set).
+#: Tags are frozen, so every decoded element shares these objects.
+SHORT_TAGS: tuple[Tag | None, ...] = tuple(
+    None
+    if leading & 0x1F == 0x1F
+    else Tag(TagClass((leading >> 6) & 0x03), bool(leading & 0x20), leading & 0x1F)
+    for leading in range(256)
+)
+
+
 def decode_tag(data: bytes, offset: int = 0) -> tuple[Tag, int]:
     """Decode a tag starting at ``offset``; return ``(tag, next_offset)``."""
     if offset >= len(data):
         raise DERDecodeError("truncated tag", offset)
     leading = data[offset]
-    cls = TagClass((leading >> 6) & 0x03)
-    constructed = bool(leading & 0x20)
-    number = leading & 0x1F
     offset += 1
-    if number != 0x1F:
-        return Tag(cls, constructed, number), offset
+    tag = SHORT_TAGS[leading]
+    if tag is not None:
+        return tag, offset
     # High-tag-number form.
     number = 0
     while True:
@@ -148,4 +157,4 @@ def decode_tag(data: bytes, offset: int = 0) -> tuple[Tag, int]:
             raise DERDecodeError("non-minimal high tag number", offset)
     if number < 0x1F:
         raise DERDecodeError("high-tag form used for low tag number", offset)
-    return Tag(cls, constructed, number), offset
+    return Tag(TagClass((leading >> 6) & 0x03), bool(leading & 0x20), number), offset

@@ -30,47 +30,76 @@ from .framework import (
 
 @dataclass
 class CertificateReport:
-    """All lint results for one certificate."""
+    """All lint results for one certificate.
+
+    The results are sorted once, at construction, into findings, errors,
+    warnings and not-effective results; every accessor below reads that
+    classification.  ``results`` is not to be changed afterwards.
+    """
 
     results: list[LintResult] = field(default_factory=list)
+    _findings: list[LintResult] = field(init=False, repr=False, compare=False)
+    _errors: list[LintResult] = field(init=False, repr=False, compare=False)
+    _warnings: list[LintResult] = field(init=False, repr=False, compare=False)
+    _not_effective: list[LintResult] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        findings: list[LintResult] = []
+        errors: list[LintResult] = []
+        warnings: list[LintResult] = []
+        not_effective: list[LintResult] = []
+        for result in self.results:
+            status = result.status
+            if status is LintStatus.ERROR:
+                findings.append(result)
+                errors.append(result)
+            elif status is LintStatus.WARN:
+                findings.append(result)
+                warnings.append(result)
+            elif status is LintStatus.NOT_EFFECTIVE:
+                not_effective.append(result)
+        self._findings = findings
+        self._errors = errors
+        self._warnings = warnings
+        self._not_effective = not_effective
 
     @property
     def findings(self) -> list[LintResult]:
-        return [r for r in self.results if r.is_finding]
+        return self._findings
 
     @property
     def errors(self) -> list[LintResult]:
-        return [r for r in self.results if r.status is LintStatus.ERROR]
+        return self._errors
 
     @property
     def warnings(self) -> list[LintResult]:
-        return [r for r in self.results if r.status is LintStatus.WARN]
+        return self._warnings
 
     @property
     def suppressed_by_effective_date(self) -> list[LintResult]:
-        return [r for r in self.results if r.status is LintStatus.NOT_EFFECTIVE]
+        return self._not_effective
 
     @property
     def noncompliant(self) -> bool:
         """Whether any effective lint produced a finding."""
-        return bool(self.findings)
+        return bool(self._findings)
 
     @property
     def noncompliant_ignoring_dates(self) -> bool:
         """The paper's footnote-4 view: 249K grows to 1.8M without dates."""
-        return bool(self.findings) or bool(self.suppressed_by_effective_date)
+        return bool(self._findings) or bool(self._not_effective)
 
     def fired_lints(self) -> list[str]:
-        return [r.lint.name for r in self.findings]
+        return [r.lint.name for r in self._findings]
 
     def types(self) -> set[NoncomplianceType]:
-        return {r.lint.nc_type for r in self.findings}
+        return {r.lint.nc_type for r in self._findings}
 
     def has_error_level(self) -> bool:
-        return bool(self.errors)
+        return bool(self._errors)
 
     def has_warning_level(self) -> bool:
-        return bool(self.warnings)
+        return bool(self._warnings)
 
 
 _NO_NAMES: frozenset = frozenset()
@@ -102,8 +131,7 @@ def run_lints(
     lookup.
     """
     selected = tuple(lints) if lints is not None else REGISTRY.snapshot()
-    report = CertificateReport()
-    results = report.results
+    results: list[LintResult] = []
     if not optimized:
         with caching_disabled():
             for lint in selected:
@@ -114,7 +142,7 @@ def run_lints(
                 )
                 if result.status is not LintStatus.NA:
                     results.append(result)
-        return report
+        return CertificateReport(results)
 
     if index is None:
         index = index_for(selected)
@@ -168,7 +196,7 @@ def run_lints(
                         else LintStatus.WARN
                     )
                     results.append(LintResult(meta, status, details))
-            return report
+            return CertificateReport(results)
         for lint, families in index.entries:
             # Family absent ⇒ applies() False ⇒ the NA result the legacy
             # loop would have dropped; skipping is exact.
@@ -191,7 +219,7 @@ def run_lints(
                 results.append(LintResult(meta, status, details))
     finally:
         del cert._lint_ctx
-    return report
+    return CertificateReport(results)
 
 
 @dataclass

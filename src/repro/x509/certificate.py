@@ -80,9 +80,12 @@ class Certificate:
 
         ``strict=False`` (the default) mirrors tolerant real-world
         parsers: malformed string contents are preserved rather than
-        rejected, so the linter can inspect them.
+        rejected, so the linter can inspect them.  ``tbs_der`` is the
+        TBSCertificate exactly as received, sliced from ``data``, so a
+        signature is checked over the bytes that were signed.
         """
-        root = parse_der(data, strict=strict)
+        raw = bytes(data)
+        root = parse_der(raw, strict=strict)
         if len(root.children) != 3:
             raise DERDecodeError("Certificate needs tbs/alg/signature", root.offset)
         tbs = root.child(0)
@@ -120,9 +123,9 @@ class Certificate:
             extensions=extensions,
             public_key=public_key,
             version=version,
-            tbs_der=tbs.encode(),
+            tbs_der=raw[tbs.offset : tbs.end],
             signature=signature_bits,
-            raw=bytes(data),
+            raw=raw,
         )
 
     def build_tbs(self) -> Element:

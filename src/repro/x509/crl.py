@@ -106,7 +106,9 @@ class CertificateRevocationList:
             next_update=next_update,
             revoked=revoked,
         )
-        crl.tbs_der = tbs.encode()
+        # The bytes as received: a lenient parse may have accepted a
+        # non-minimal length that a re-encoding would normalise away.
+        crl.tbs_der = bytes(data[tbs.offset : tbs.end])
         crl.signature = signature_bits
         return crl
 

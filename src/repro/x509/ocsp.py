@@ -64,7 +64,7 @@ class OCSPResponse:
             this_update=decode_time(tbs.child(2)),
             next_update=decode_time(tbs.child(3)),
         )
-        response.tbs_der = tbs.encode()
+        response.tbs_der = bytes(data[tbs.offset : tbs.end])
         response.signature = signature
         return response
 

@@ -1,8 +1,12 @@
 """Tests for the lint runner aggregation (CorpusSummary, reports)."""
 
 import datetime as dt
+import pickle
 
 from repro.lint import (
+    CertificateReport,
+    LintResult,
+    LintStatus,
     NoncomplianceType,
     REGISTRY,
     run_lints,
@@ -48,6 +52,40 @@ class TestReports:
         report = run_lints(dirty())
         assert report.has_error_level()
         assert all(r.status.value == "error" for r in report.errors)
+
+    def test_classification_however_built(self):
+        metas = [lint.metadata for lint in REGISTRY.snapshot()[:6]]
+        statuses = [
+            LintStatus.ERROR, LintStatus.PASS, LintStatus.WARN,
+            LintStatus.NOT_EFFECTIVE, LintStatus.ERROR, LintStatus.WARN,
+        ]
+        results = [LintResult(meta, status) for meta, status in zip(metas, statuses)]
+        built = CertificateReport(list(results))
+        expected = {
+            "findings": [r for r in results if r.is_finding],
+            "errors": [r for r in results if r.status is LintStatus.ERROR],
+            "warnings": [r for r in results if r.status is LintStatus.WARN],
+            "suppressed_by_effective_date": [
+                r for r in results if r.status is LintStatus.NOT_EFFECTIVE
+            ],
+        }
+        for report in (built, pickle.loads(pickle.dumps(built))):
+            assert report == built
+            for name, wanted in expected.items():
+                assert getattr(report, name) == wanted, name
+            assert report.fired_lints() == [r.lint.name for r in expected["findings"]]
+            assert report.noncompliant and report.noncompliant_ignoring_dates
+            assert report.has_error_level() and report.has_warning_level()
+
+    def test_not_effective_alone(self):
+        meta = REGISTRY.snapshot()[0].metadata
+        report = CertificateReport([LintResult(meta, LintStatus.NOT_EFFECTIVE)])
+        assert not report.noncompliant and report.noncompliant_ignoring_dates
+
+    def test_empty_report(self):
+        report = CertificateReport()
+        assert report.findings == [] and report.suppressed_by_effective_date == []
+        assert not report.noncompliant and not report.noncompliant_ignoring_dates
 
     def test_subset_run(self):
         lint = REGISTRY.get("e_rfc_subject_dn_not_printable_characters")
