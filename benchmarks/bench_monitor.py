@@ -38,7 +38,7 @@ import tempfile
 import time
 
 from repro.ct import CorpusGenerator, MonitorConfig, TailLog, TailMonitor
-from repro.engine import run_corpus
+from repro.engine import Engine
 from repro.lint import summary_to_json
 
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_MONITOR_SCALE", 1 / 10000))
@@ -91,7 +91,7 @@ def measure(
     corpus = CorpusGenerator(seed=seed, scale=scale).generate()
     total = len(corpus.records)
 
-    one_shot = summary_to_json(run_corpus(corpus, jobs=1).summary)
+    one_shot = summary_to_json(Engine().run_corpus(corpus, jobs=1).summary)
 
     with tempfile.TemporaryDirectory(prefix="bench-monitor-") as tmp:
         tmp = pathlib.Path(tmp)

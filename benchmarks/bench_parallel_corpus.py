@@ -2,7 +2,7 @@
 
 Measures three configurations over the same seeded corpus:
 
-* the classic sequential path (``run_lints`` per record + ``summarize``),
+* the sequential path (serial reports from ``Engine().run_corpus`` + ``summarize``),
 * the sharded pipeline at ``--jobs 1`` (same shard code, inline),
 * the sharded pipeline at ``--jobs 4`` (worker processes).
 
@@ -20,10 +20,9 @@ Two properties are asserted:
 import os
 import time
 
-from repro.analysis import lint_corpus
 from repro.ct import CorpusGenerator
-from repro.engine import EngineStats
-from repro.lint import lint_corpus_parallel, summarize, summary_to_json
+from repro.engine import Engine, EngineStats
+from repro.lint import summarize, summary_to_json
 from repro.lint.parallel import LintPool, usable_cpus as _usable_cpus
 
 SCALE = float(os.environ.get("REPRO_BENCH_PARALLEL_SCALE", 1 / 10000))
@@ -42,9 +41,11 @@ def test_parallel_corpus_throughput(write_output):
     total = len(corpus.records)
 
     sequential_summary, sequential_s = _timed(
-        lambda: summarize(lint_corpus(corpus, jobs=1))
+        lambda: summarize(
+            Engine().run_corpus(corpus, 1, collect_reports=True).reports
+        )
     )
-    inline, inline_s = _timed(lambda: lint_corpus_parallel(corpus, jobs=1))
+    inline, inline_s = _timed(lambda: Engine().run_corpus(corpus, jobs=1))
     # Warm pool: worker start-up and the registry snapshot/index build
     # happen before the clock starts — the fanout number measures
     # steady-state dispatch over the mmap substrate, not fork cost.
@@ -52,9 +53,7 @@ def test_parallel_corpus_throughput(write_output):
     with LintPool(JOBS) as pool:
         pool.prewarm()
         fanout, fanout_s = _timed(
-            lambda: lint_corpus_parallel(
-                corpus, jobs=JOBS, pool=pool, stats=fanout_stats
-            )
+            lambda: Engine(fanout_stats).run_corpus(corpus, jobs=JOBS, pool=pool)
         )
 
     # Exactness: byte-identical summaries across every configuration.

@@ -12,8 +12,8 @@ import pathlib
 
 import pytest
 
-from repro.analysis import lint_corpus
 from repro.ct import CorpusGenerator
+from repro.engine import Engine
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 1 / 2000))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", 2025))
@@ -28,7 +28,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def reports(corpus):
-    return lint_corpus(corpus)
+    return Engine().run_corpus(corpus, 1, collect_reports=True).reports
 
 
 @pytest.fixture(scope="session")

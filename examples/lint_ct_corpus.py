@@ -9,8 +9,9 @@ Run with:  python examples/lint_ct_corpus.py [scale]
 
 import sys
 
-from repro.analysis import build_table1, issuer_table, lint_corpus, top_lints
+from repro.analysis import build_table1, issuer_table, top_lints
 from repro.ct import CorpusGenerator
+from repro.engine import Engine
 from repro.lint import NoncomplianceType
 
 
@@ -21,7 +22,7 @@ def main(scale: float = 1 / 10000) -> None:
           f"{len(corpus.by_issuer())} issuer organizations")
 
     print("linting (95 lints per certificate) ...")
-    reports = lint_corpus(corpus)
+    reports = Engine().run_corpus(corpus, 1, collect_reports=True).reports
     table = build_table1(corpus, reports)
 
     print(f"\nnoncompliant: {table.nc_certs} ({table.nc_rate:.2%}; paper: 0.72%)")

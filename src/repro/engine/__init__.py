@@ -11,12 +11,14 @@ injectable :class:`EngineStats` collector:
 * :mod:`repro.engine.ingest` — unified PEM/DER/base64 sniffing and the
   shared ``empty_body``/``bad_pem``/``bad_body`` error taxonomy;
 * :mod:`repro.engine.pipeline` — the :class:`Engine` core (stages);
+  ``Engine().run_corpus`` is the one corpus entry point;
 * :mod:`repro.engine.executors` — serial reference semantics and the
   process-pool fan-out;
 * :mod:`repro.engine.sinks` — CLI JSON/text documents, exact
   ``CorpusSummary`` merge, service response bodies;
-* :mod:`repro.engine.worker` — picklable worker-side primitives that
-  ship :class:`StageTimings` back across the process boundary;
+* :mod:`repro.engine.worker` — the one worker-side decode → lint →
+  sink loop, shipping :class:`StageTimings` back across the process
+  boundary;
 * :mod:`repro.engine.stats` — the collector surfaced as
   ``repro lint --stats``, the service ``/metrics`` ``stages`` block,
   and the per-stage breakdowns in ``BENCH_lint_throughput.json``.
@@ -24,7 +26,7 @@ injectable :class:`EngineStats` collector:
 
 from .executors import PoolExecutor, SerialExecutor
 from .ingest import IngestError, SourceItem, corpus_records, read_path, sniff_certificate_bytes
-from .pipeline import Engine, EngineItem, increment_pairs, run_corpus, run_increment
+from .pipeline import Engine, EngineItem, increment_pairs
 from .sinks import (
     SummarySink,
     merge_shard_results,
@@ -68,7 +70,5 @@ __all__ = [
     "read_path",
     "render_json_report",
     "render_text_report",
-    "run_corpus",
-    "run_increment",
     "sniff_certificate_bytes",
 ]

@@ -1,10 +1,11 @@
 """The staged lint engine: ingest → decode → lint → sink, instrumented.
 
-Every entry point in the repo — the CLI ``lint``/``corpus`` commands,
-the ``repro.lint.parallel`` public API, the service batcher, and the
-throughput benchmarks — is a thin composition over this module, so
-scaling work (new executors, new sinks, stage-level profiling) lands
-once instead of four times:
+Every entry point in the repo — the CLI ``lint``/``corpus``/``monitor``
+commands, the service batcher, and the throughput benchmarks — is a
+thin composition over this module, so scaling work (new executors, new
+sinks, stage-level profiling) lands once instead of four times.
+:meth:`Engine.run_corpus` is the one corpus entry point and
+:meth:`Engine.run_increment` its streaming form:
 
 * **ingest** — resolve input to certificate DER: unified PEM/DER/base64
   sniffing for single inputs (:mod:`repro.engine.ingest`), deterministic
@@ -112,34 +113,29 @@ class Engine:
             self.stats.count_certs(1, len(item.der))
         return item
 
-    def warm_compiled_plan(self, compiled: bool = True) -> None:
+    def warm_compiled_plan(self) -> None:
         """Compile stage: build the default dispatch plan, timed.
 
-        A no-op when the plan is already built (or compilation is off),
-        so the ``compile`` row of ``--stats``/``/metrics`` reports the
-        one-time classification cost and never recurs per certificate.
+        A no-op when the plan is already built, so the ``compile`` row
+        of ``--stats``/``/metrics`` reports the one-time classification
+        cost and never recurs per certificate.
         """
-        if compiled:
-            from ..lint.compiled import warm_default_plan
+        from ..lint.compiled import warm_default_plan
 
-            warm_default_plan(self.stats)
+        warm_default_plan(self.stats)
 
     def lint_item(
-        self,
-        item: EngineItem,
-        respect_effective_dates: bool = True,
-        compiled: bool = True,
+        self, item: EngineItem, respect_effective_dates: bool = True
     ) -> EngineItem:
         """Lint stage: run the full registry over a decoded certificate."""
         if not item.ok:
             return item
-        self.warm_compiled_plan(compiled)
+        self.warm_compiled_plan()
         with self.stats.time("lint", items=1):
             item.report = run_lints(
                 item.cert,
                 issued_at=item.issued_at,
                 respect_effective_dates=respect_effective_dates,
-                compiled=compiled,
             )
         return item
 
@@ -148,12 +144,11 @@ class Engine:
         data: bytes,
         origin: str = "<bytes>",
         respect_effective_dates: bool = True,
-        compiled: bool = True,
     ) -> EngineItem:
         """Ingest → decode → lint one input; failures stay on the item."""
         item = self.ingest_bytes(data, origin)
         self.decode_item(item)
-        return self.lint_item(item, respect_effective_dates, compiled=compiled)
+        return self.lint_item(item, respect_effective_dates)
 
     def render_json(self, item: EngineItem) -> str:
         """Sink stage: the CLI-identical JSON document for one item."""
@@ -165,7 +160,7 @@ class Engine:
         with self.stats.time("sink", items=1):
             return render_text_report(item.report, item.cert)
 
-    # -- corpus path (CLI corpus, parallel API, benchmarks) -----------
+    # -- corpus path (CLI corpus/monitor, benchmarks) -----------------
 
     def _resolve_corpus_jobs(self, jobs, pool, total: int) -> int:
         """The job count every corpus-shaped run uses.
@@ -217,7 +212,6 @@ class Engine:
         respect_effective_dates: bool = True,
         collect_reports: bool = False,
         optimized: bool = True,
-        compiled: bool = True,
         pool=None,
         executor=None,
         window=None,
@@ -253,7 +247,7 @@ class Engine:
         if shards is None:
             shards = default_shard_count(total, jobs)
         executor = self._select_executor(executor, pool, jobs, shards, total)
-        if optimized and compiled:
+        if optimized:
             self.warm_compiled_plan()
         collect = collect_reports or window is not None
         with self.stats.time("ingest", items=total):
@@ -263,7 +257,6 @@ class Engine:
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect,
                 optimized=optimized,
-                compiled=compiled,
                 collect_facts=window is not None,
             )
         self.stats.record_shards(
@@ -302,15 +295,14 @@ class Engine:
         respect_effective_dates: bool = True,
         collect_reports: bool = False,
         optimized: bool = True,
-        compiled: bool = True,
         pool=None,
         executor=None,
     ) -> ParallelLintOutcome:
         """Lint a whole corpus through the staged pipeline, exactly.
 
-        Semantics are those of the original ``lint_corpus_parallel``:
-        deterministic contiguous shards, ``jobs`` clamped so no worker
-        outnumbers the records, the inline serial executor whenever one
+        The one corpus entry point: deterministic contiguous shards,
+        ``jobs`` clamped so no worker outnumbers the records (``None``
+        means every usable CPU), the inline serial executor whenever one
         process suffices (``jobs=1`` or a single shard), and an exact
         ``CorpusSummary`` merge — every executor choice yields
         byte-identical output.  Pass ``executor`` to override strategy
@@ -346,13 +338,12 @@ class Engine:
         # any work is dispatched — serial runs use it directly, pool
         # runs inherit it copy-on-write under fork.  Timed so the
         # one-time classification cost shows as its own stage.
-        if optimized and compiled:
+        if optimized:
             self.warm_compiled_plan()
         task_kwargs = dict(
             respect_effective_dates=respect_effective_dates,
             collect_reports=collect_reports,
             optimized=optimized,
-            compiled=compiled,
         )
         spill_path = None
         try:
@@ -416,24 +407,3 @@ def increment_pairs(batch) -> list[tuple[bytes, _dt.datetime | None]]:
         der, issued_at = entry
         pairs.append((bytes(der), issued_at))
     return pairs
-
-
-def run_corpus(corpus, jobs: int | None = None, **kwargs) -> ParallelLintOutcome:
-    """Module-level convenience: one-shot corpus run on a fresh engine.
-
-    Pass ``stats=`` to observe the run's per-stage breakdown; remaining
-    keyword arguments go to :meth:`Engine.run_corpus`.
-    """
-    stats = kwargs.pop("stats", None)
-    return Engine(stats).run_corpus(corpus, jobs, **kwargs)
-
-
-def run_increment(batch, **kwargs) -> ParallelLintOutcome:
-    """Module-level convenience: lint one batch on a fresh engine.
-
-    Pass ``stats=`` to observe the per-stage breakdown and ``window=``
-    to fold into a :class:`~repro.engine.windows.WindowedSummary`;
-    remaining keyword arguments go to :meth:`Engine.run_increment`.
-    """
-    stats = kwargs.pop("stats", None)
-    return Engine(stats).run_increment(batch, **kwargs)

@@ -30,14 +30,12 @@ Design points:
   :class:`ShardError` with the shard index and the worker traceback
   rather than hanging on a dead pool.
 
-As of the staged-engine refactor, the orchestration itself — executor
-selection, fail-fast streaming, exact merge, per-stage instrumentation
-— lives in :mod:`repro.engine`; :func:`lint_corpus_parallel` and
-:func:`summarize_corpus_parallel` are kept as thin, signature-stable
-shims over :meth:`repro.engine.Engine.run_corpus`.  The worker-side
-primitives (:func:`lint_shard`, :func:`lint_ders_to_json`,
-:class:`LintPool`) stay here so pickled task references keep a stable
-import path across fork and spawn.
+The orchestration itself — executor selection, fail-fast streaming,
+exact merge, per-stage instrumentation — lives in :mod:`repro.engine`,
+whose :meth:`~repro.engine.Engine.run_corpus` is the one corpus entry
+point.  The shard-side primitives (:func:`lint_shard`, the shard task
+builders, :class:`LintPool`) stay here so pickled task references keep
+a stable import path across fork and spawn.
 """
 
 from __future__ import annotations
@@ -46,12 +44,11 @@ import concurrent.futures as _cf
 import datetime as _dt
 import multiprocessing as _mp
 import os
-import time as _time
 import traceback
 from dataclasses import dataclass, field
 
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
-from .runner import CertificateReport, CorpusSummary, run_lints
+from .runner import CertificateReport, CorpusSummary
 
 #: Default over-decomposition factor: more shards than workers keeps the
 #: pool busy when shard lint costs are skewed (certificates with many
@@ -96,13 +93,9 @@ class ShardTask:
     issued_at: tuple[_dt.datetime | None, ...] = ()
     respect_effective_dates: bool = True
     collect_reports: bool = False
-    #: False runs the legacy per-lint loop with caching disabled — the
+    #: False runs the per-lint loop with caching disabled — the
     #: reference path the equivalence tests and benchmarks compare with.
     optimized: bool = True
-    #: False pins the interpreted (memoized, uncompiled) dispatch — the
-    #: ``--no-compile`` escape hatch and the compiled-equivalence
-    #: reference.
-    compiled: bool = True
     #: Substrate transport: path to a corpus-store file plus the shard's
     #: half-open record range within it.
     store_path: str | None = None
@@ -222,17 +215,14 @@ def default_shard_count(total: int, jobs: int) -> int:
 _WORKER_SCHEDULE: tuple[tuple[Lint, ...], RegistryIndex] | None = None  # staticcheck: process-local
 
 
-def _worker_schedule(compiled: bool = True) -> tuple[tuple[Lint, ...], RegistryIndex]:
+def _worker_schedule() -> tuple[tuple[Lint, ...], RegistryIndex]:
     global _WORKER_SCHEDULE
     if _WORKER_SCHEDULE is None:
         lints = REGISTRY.snapshot()
         _WORKER_SCHEDULE = (lints, index_for(lints))
-    if compiled:
         # Build the compiled dispatch plan eagerly: pre-fork it lands in
         # COW-shared pages; under spawn the initializer pays it once at
-        # worker start-up instead of inside the first shard.  Skipped
-        # for uncompiled runs so the reference legs never build (or get
-        # charged for) a plan they will not dispatch through.
+        # worker start-up instead of inside the first shard.
         _WORKER_SCHEDULE[1].compiled_plan()
     return _WORKER_SCHEDULE
 
@@ -298,16 +288,12 @@ def lint_shard(task: ShardTask) -> ShardResult:
 
     Runs in a worker process (or inline for ``jobs=1``).  Certificates
     arrive as DER — inline in the task or via the memory-mapped
-    substrate — are re-parsed with the tolerant parser, linted with the
-    worker-cached registry snapshot, and folded into a per-shard
-    :class:`CorpusSummary`.  Timings record both clocks: wall
-    (``perf_counter``) for latency, CPU (``process_time``) for the
-    compute the run actually burned — on an oversubscribed box the two
-    diverge, and summing worker wall across processes would double- to
-    quadruple-count the elapsed time.
+    substrate — and go through the shared decode → lint → sink loop
+    (:func:`repro.engine.worker.lint_records`), whose sink folds each
+    report into the per-shard :class:`CorpusSummary`.
     """
     from ..engine.stats import StageTimings
-    from ..x509 import Certificate
+    from ..engine.worker import lint_records
 
     count = (
         task.stop - task.start
@@ -315,88 +301,33 @@ def lint_shard(task: ShardTask) -> ShardResult:
         else len(task.certs_der)
     )
     result = ShardResult(index=task.index, count=count)
-    timings = StageTimings()
-    result.timings = timings
+    result.timings = StageTimings()
+    summary = result.summary
     reports: list[CertificateReport] | None = (
         [] if task.collect_reports else None
     )
-    facts: list | None = None
-    extract_facts = None
-    if task.collect_facts:
-        from ..engine.windows import cert_facts as extract_facts
+    facts: list | None = [] if task.collect_facts else None
 
-        facts = []
+    def fold(report: CertificateReport, _cert) -> None:
+        summary.add(report)
+        if reports is not None:
+            reports.append(report)
+
     try:
-        lints, index = _worker_schedule(task.compiled and task.optimized)
-        for der, issued_at in _shard_records(task):
-            start = _time.perf_counter()
-            cstart = _time.process_time()
-            cert = Certificate.from_der(der)
-            if extract_facts is not None:
-                facts.append(extract_facts(cert))
-            decoded = _time.perf_counter()
-            cdecoded = _time.process_time()
-            report = run_lints(
-                cert,
-                issued_at=issued_at,
-                lints=lints,
-                respect_effective_dates=task.respect_effective_dates,
-                optimized=task.optimized,
-                index=index,
-                compiled=task.compiled,
-            )
-            linted = _time.perf_counter()
-            clinted = _time.process_time()
-            result.summary.add(report)
-            if reports is not None:
-                reports.append(report)
-            sunk = _time.perf_counter()
-            csunk = _time.process_time()
-            timings.add("decode", decoded - start, cdecoded - cstart, 1)
-            timings.add("lint", linted - decoded, clinted - cdecoded, 1)
-            timings.add("sink", sunk - linted, csunk - clinted, 1)
-            timings.certs += 1
-            timings.bytes += len(der)
+        lint_records(
+            _shard_records(task),
+            fold,
+            result.timings,
+            respect_effective_dates=task.respect_effective_dates,
+            optimized=task.optimized,
+            facts=facts,
+        )
     except Exception as exc:
         result.error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        result.reports = None
-        result.facts = None
         return result
     result.reports = reports
     result.facts = facts
     return result
-
-
-def lint_ders_to_json(
-    ders: tuple[bytes, ...],
-    respect_effective_dates: bool = True,
-    compiled: bool = True,
-) -> list[str]:
-    """Lint DER certificates and return one JSON report string each.
-
-    This is the worker-side primitive behind the lint service
-    (:mod:`repro.service`): each string is exactly what
-    ``python -m repro lint --json`` writes for the same certificate
-    (``report_to_json(report, cert)``), which is what makes the online
-    and offline paths byte-comparable.  Unparseable DER raises — callers
-    are expected to validate admission-side so a batch is all-or-nothing.
-    """
-    from ..x509 import Certificate
-    from .serialization import report_to_json
-
-    lints, index = _worker_schedule(compiled)
-    out: list[str] = []
-    for der in ders:
-        cert = Certificate.from_der(der)
-        report = run_lints(
-            cert,
-            lints=lints,
-            respect_effective_dates=respect_effective_dates,
-            index=index,
-            compiled=compiled,
-        )
-        out.append(report_to_json(report, cert))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +342,8 @@ class LintPool:
     fine for one-shot batch runs but wrong for a long-lived service: the
     fork/spawn cost would land on the first request of every batch.  A
     ``LintPool`` is created once, hands out futures, and is shared by
-    both entry points — :func:`lint_corpus_parallel` (shard summaries)
-    and the service batcher (:func:`lint_ders_to_json` strings).
+    :meth:`repro.engine.Engine.run_corpus` (shard summaries), the
+    service batcher (:meth:`submit_timed` bodies) and the fuzzer.
 
     The pool is *warm*: under fork, the parent resolves the registry
     snapshot and builds the :class:`RegistryIndex` before the first
@@ -463,32 +394,17 @@ class LintPool:
         :class:`ShardResult` (structured errors, never raises)."""
         return self.executor.submit(lint_shard, task)
 
-    def submit_json(
-        self,
-        ders: tuple[bytes, ...],
-        respect_effective_dates: bool = True,
-        compiled: bool = True,
-    ) -> "_cf.Future[list[str]]":
-        """Dispatch a service micro-batch; the future resolves to one
-        CLI-identical JSON report string per certificate."""
-        return self.executor.submit(
-            lint_ders_to_json, ders, respect_effective_dates, compiled
-        )
-
     def submit_timed(
-        self,
-        ders: tuple[bytes, ...],
-        respect_effective_dates: bool = True,
-        compiled: bool = True,
+        self, ders: tuple[bytes, ...], respect_effective_dates: bool = True
     ):
-        """Dispatch an instrumented service micro-batch; the future
-        resolves to a :class:`repro.engine.worker.TimedBatch` whose
-        ``bodies`` are byte-identical to :meth:`submit_json` output and
-        whose ``timings`` carry the worker's per-stage seconds."""
+        """Dispatch a service micro-batch; the future resolves to a
+        :class:`repro.engine.worker.TimedBatch` whose ``bodies`` are the
+        CLI-identical JSON reports, one per certificate, and whose
+        ``timings`` carry the worker's per-stage seconds."""
         from ..engine.worker import lint_ders_timed
 
         return self.executor.submit(
-            lint_ders_timed, ders, respect_effective_dates, compiled
+            lint_ders_timed, ders, respect_effective_dates
         )
 
     def submit_fuzz(self, specs: tuple):
@@ -524,7 +440,6 @@ def build_shard_tasks(
     respect_effective_dates: bool = True,
     collect_reports: bool = False,
     optimized: bool = True,
-    compiled: bool = True,
 ) -> list[ShardTask]:
     """Serialize a corpus into deterministic per-shard worker tasks."""
     records = _records_of(corpus)
@@ -539,7 +454,6 @@ def build_shard_tasks(
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect_reports,
                 optimized=optimized,
-                compiled=compiled,
             )
         )
     return tasks
@@ -552,7 +466,6 @@ def build_store_shard_tasks(
     respect_effective_dates: bool = True,
     collect_reports: bool = False,
     optimized: bool = True,
-    compiled: bool = True,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over a substrate file.
 
@@ -569,7 +482,6 @@ def build_store_shard_tasks(
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect_reports,
                 optimized=optimized,
-                compiled=compiled,
                 store_path=str(store_path),
                 start=start,
                 stop=stop,
@@ -584,7 +496,6 @@ def build_pair_shard_tasks(
     respect_effective_dates: bool = True,
     collect_reports: bool = False,
     optimized: bool = True,
-    compiled: bool = True,
     collect_facts: bool = False,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over ``(der, issued_at)`` pairs.
@@ -609,7 +520,6 @@ def build_pair_shard_tasks(
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect_reports,
                 optimized=optimized,
-                compiled=compiled,
                 collect_facts=collect_facts,
             )
         )
@@ -631,51 +541,3 @@ def _mp_context(method: str | None = None):
             f"start method {method!r} unavailable (have {methods})"
         )
     return _mp.get_context(method)
-
-
-def lint_corpus_parallel(
-    corpus,
-    jobs: int | None = None,
-    *,
-    shards: int | None = None,
-    respect_effective_dates: bool = True,
-    collect_reports: bool = False,
-    optimized: bool = True,
-    compiled: bool = True,
-    pool: LintPool | None = None,
-    stats=None,
-) -> ParallelLintOutcome:
-    """Lint a corpus with ``jobs`` worker processes and merge exactly.
-
-    Signature-stable shim over :meth:`repro.engine.Engine.run_corpus`:
-    ``jobs=None`` uses every CPU (clamped to the record count);
-    ``jobs=1`` runs the identical shard path inline through the serial
-    executor, which is what makes the determinism guarantee testable —
-    every job count executes the same serialize → parse → lint →
-    summarize → merge sequence over the same shard boundaries.
-
-    Pass ``pool`` to reuse a long-lived :class:`LintPool` (the service
-    does), and ``stats`` (a :class:`repro.engine.stats.EngineStats`) to
-    observe the run's per-stage breakdown.
-
-    Raises :class:`ShardError` as soon as any shard reports a failure.
-    """
-    from ..engine.pipeline import Engine
-
-    return Engine(stats).run_corpus(
-        corpus,
-        jobs,
-        shards=shards,
-        respect_effective_dates=respect_effective_dates,
-        collect_reports=collect_reports,
-        optimized=optimized,
-        compiled=compiled,
-        pool=pool,
-    )
-
-
-def summarize_corpus_parallel(
-    corpus, jobs: int | None = None, **kwargs
-) -> CorpusSummary:
-    """Convenience wrapper returning only the merged summary."""
-    return lint_corpus_parallel(corpus, jobs, **kwargs).summary

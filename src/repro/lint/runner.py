@@ -8,12 +8,7 @@ from typing import Iterable, Sequence
 
 from ..x509 import Certificate
 from ..x509.cache import caching_disabled
-from .compiled import (
-    APPLIES_EXACT,
-    APPLIES_NONEMPTY,
-    SCOPE_NONEMPTY,
-    compiling_enabled,
-)
+from .compiled import APPLIES_EXACT, APPLIES_NONEMPTY, SCOPE_NONEMPTY
 from .context import LintContext
 from .framework import (
     Lint,
@@ -112,7 +107,6 @@ def run_lints(
     respect_effective_dates: bool = True,
     optimized: bool = True,
     index: RegistryIndex | None = None,
-    compiled: bool = True,
 ) -> CertificateReport:
     """Run every lint (or a subset) against one certificate.
 
@@ -122,13 +116,12 @@ def run_lints(
     and dispatches through the compiled plan
     (:mod:`repro.lint.compiled`): each scope's strings are scanned once
     into a char-class bitmask, and compiled lints whose trigger bits
-    stay clear emit PASS without running their check.  ``compiled=False``
-    (or :func:`repro.lint.compiled.compiling_disabled`) pins the
-    interpreted dispatch; ``optimized=False`` runs the legacy per-lint
-    loop with every derived-view cache disabled — slower, but the
-    reference behaviour the equivalence tests compare against.  Pass a
-    prebuilt ``index`` (matching ``lints``) to skip the per-call memo
-    lookup.
+    stay clear emit PASS without running their check; unclassified
+    lints ask ``applies()``/``check()`` as usual.  ``optimized=False``
+    runs the per-lint loop with every derived-view cache disabled —
+    slower, but the reference behaviour the equivalence tests compare
+    against.  Pass a prebuilt ``index`` (matching ``lints``) to skip the
+    per-call memo lookup.
     """
     selected = tuple(lints) if lints is not None else REGISTRY.snapshot()
     results: list[LintResult] = []
@@ -150,64 +143,42 @@ def run_lints(
     not_effective = (
         index.not_effective_names(when) if respect_effective_dates else _NO_NAMES
     )
+    plan = index.compiled_plan()
+    resolve = plan.resolve_scope
+    masks: dict = {}
+    passed = LintStatus.PASS
     ctx = LintContext(cert)
     cert._lint_ctx = ctx
     try:
         present = ctx.families()
-        if compiled and compiling_enabled():
-            plan = index.compiled_plan()
-            resolve = plan.resolve_scope
-            masks: dict = {}
-            passed = LintStatus.PASS
-            for lint, families, scope, trigger, mode in plan.entries:
-                # Family absent ⇒ applies() False ⇒ the NA result the
-                # legacy loop would have dropped; skipping is exact.
-                if families is not None and families.isdisjoint(present):
-                    continue
-                if scope is not None:
-                    mask = masks.get(scope)
-                    if mask is None:
-                        mask = resolve(scope, cert, ctx, masks)
-                    if not (mask & trigger):
-                        # No trigger atom fires ⇒ check() would pass.  The
-                        # mode settles applicability: exact ⇒ PASS;
-                        # nonempty ⇒ PASS iff the scope carried items
-                        # (else the dropped-NA outcome); otherwise ask.
-                        if mode == APPLIES_EXACT:
-                            results.append(LintResult(lint.metadata, passed))
-                        elif mode == APPLIES_NONEMPTY:
-                            if mask & SCOPE_NONEMPTY:
-                                results.append(LintResult(lint.metadata, passed))
-                        elif lint.applies(cert):
-                            results.append(LintResult(lint.metadata, passed))
-                        continue
-                if not lint.applies(cert):
-                    continue
-                compliant, details = lint.check(cert)
-                meta = lint.metadata
-                if compliant:
-                    results.append(LintResult(meta, passed))
-                elif meta.name in not_effective:
-                    results.append(LintResult(meta, LintStatus.NOT_EFFECTIVE, details))
-                else:
-                    status = (
-                        LintStatus.ERROR
-                        if meta.severity is Severity.ERROR
-                        else LintStatus.WARN
-                    )
-                    results.append(LintResult(meta, status, details))
-            return CertificateReport(results)
-        for lint, families in index.entries:
-            # Family absent ⇒ applies() False ⇒ the NA result the legacy
-            # loop would have dropped; skipping is exact.
+        for lint, families, scope, trigger, mode in plan.entries:
+            # Family absent ⇒ applies() False ⇒ the NA result the
+            # reference loop would have dropped; skipping is exact.
             if families is not None and families.isdisjoint(present):
                 continue
+            if scope is not None:
+                mask = masks.get(scope)
+                if mask is None:
+                    mask = resolve(scope, cert, ctx, masks)
+                if not (mask & trigger):
+                    # No trigger atom fires ⇒ check() would pass.  The
+                    # mode settles applicability: exact ⇒ PASS;
+                    # nonempty ⇒ PASS iff the scope carried items
+                    # (else the dropped-NA outcome); otherwise ask.
+                    if mode == APPLIES_EXACT:
+                        results.append(LintResult(lint.metadata, passed))
+                    elif mode == APPLIES_NONEMPTY:
+                        if mask & SCOPE_NONEMPTY:
+                            results.append(LintResult(lint.metadata, passed))
+                    elif lint.applies(cert):
+                        results.append(LintResult(lint.metadata, passed))
+                    continue
             if not lint.applies(cert):
                 continue
             compliant, details = lint.check(cert)
             meta = lint.metadata
             if compliant:
-                results.append(LintResult(meta, LintStatus.PASS))
+                results.append(LintResult(meta, passed))
             elif meta.name in not_effective:
                 results.append(LintResult(meta, LintStatus.NOT_EFFECTIVE, details))
             else:

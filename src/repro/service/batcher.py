@@ -24,7 +24,8 @@ class MicroBatcher:
     ``dispatch`` is the pool bridge: it takes a tuple of DER blobs and
     returns a :class:`concurrent.futures.Future` resolving to one
     rendered JSON string per blob, in order
-    (:meth:`repro.lint.parallel.LintPool.submit_json`).
+    (:meth:`repro.service.server.LintService._dispatch`, which unwraps
+    the ``bodies`` of :meth:`repro.lint.parallel.LintPool.submit_timed`).
     """
 
     def __init__(

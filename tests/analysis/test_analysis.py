@@ -10,13 +10,13 @@ from repro.analysis import (
     issuance_trend,
     issuer_involvement,
     issuer_table,
-    lint_corpus,
     top_lints,
     top_volume_share,
     validity_cdfs,
     variant_strategy_counts,
 )
 from repro.ct import CorpusGenerator
+from repro.engine import Engine
 from repro.lint import NoncomplianceType
 
 SCALE = 1 / 10000
@@ -29,7 +29,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def reports(corpus):
-    return lint_corpus(corpus)
+    return Engine().run_corpus(corpus, 1, collect_reports=True).reports
 
 
 class TestTable1:

@@ -14,7 +14,7 @@ from repro.analysis import (
 )
 from repro.analysis.fields import FIELD_COLUMNS
 from repro.ct import CorpusGenerator
-from repro.engine import Engine, WindowConfig, WindowedSummary, run_corpus
+from repro.engine import Engine, WindowConfig, WindowedSummary
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def reports(corpus):
-    return run_corpus(corpus, jobs=1, collect_reports=True).reports
+    return Engine().run_corpus(corpus, jobs=1, collect_reports=True).reports
 
 
 @pytest.fixture(scope="module")

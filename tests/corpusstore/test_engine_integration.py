@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.corpusstore import CorpusStore, write_store
-from repro.engine import run_corpus
+from repro.engine import Engine
 from repro.lint import summary_to_json
 from repro.lint.parallel import (
     LintPool,
@@ -60,27 +60,27 @@ def records():
 
 @pytest.fixture(scope="module")
 def reference_json(records):
-    return summary_to_json(run_corpus(records, jobs=1).summary)
+    return summary_to_json(Engine().run_corpus(records, jobs=1).summary)
 
 
 class TestStoreRuns:
     def test_store_serial_matches_inline(self, records, reference_json, tmp_path):
         path = write_store(records, tmp_path / "c.rcs")
         with CorpusStore(path) as store:
-            outcome = run_corpus(store, jobs=1)
+            outcome = Engine().run_corpus(store, jobs=1)
         assert summary_to_json(outcome.summary) == reference_json
 
     def test_store_pool_matches_inline(self, records, reference_json, tmp_path):
         path = write_store(records, tmp_path / "c.rcs")
         with CorpusStore(path) as store:
-            outcome = run_corpus(store, jobs=2, shards=4)
+            outcome = Engine().run_corpus(store, jobs=2, shards=4)
         assert summary_to_json(outcome.summary) == reference_json
         assert outcome.shards == 4
 
     def test_spilled_plain_records_match_inline(self, records, reference_json):
         # Plain records through a pool spill to a temp substrate; the
         # result must not change because the transport did.
-        outcome = run_corpus(records, jobs=2, shards=4)
+        outcome = Engine().run_corpus(records, jobs=2, shards=4)
         assert summary_to_json(outcome.summary) == reference_json
 
     def test_fork_and_spawn_pools_byte_identical(self, records, reference_json):
@@ -89,16 +89,16 @@ class TestStoreRuns:
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("platform has no fork start method")
         with LintPool(2, start_method="fork") as fork_pool:
-            forked = run_corpus(records, pool=fork_pool, shards=4)
+            forked = Engine().run_corpus(records, pool=fork_pool, shards=4)
         with LintPool(2, start_method="spawn") as spawn_pool:
-            spawned = run_corpus(records, pool=spawn_pool, shards=4)
+            spawned = Engine().run_corpus(records, pool=spawn_pool, shards=4)
         assert summary_to_json(forked.summary) == reference_json
         assert summary_to_json(spawned.summary) == reference_json
 
     def test_collect_reports_over_store(self, records, tmp_path):
         path = write_store(records, tmp_path / "c.rcs")
         with CorpusStore(path) as store:
-            outcome = run_corpus(store, jobs=2, shards=3, collect_reports=True)
+            outcome = Engine().run_corpus(store, jobs=2, shards=3, collect_reports=True)
         assert outcome.reports is not None
         assert len(outcome.reports) == len(records)
 
@@ -129,7 +129,7 @@ class TestStoreTasks:
         )
         with CorpusStore(path) as store:
             with pytest.raises(ShardError):
-                run_corpus(store, jobs=2, shards=2)
+                Engine().run_corpus(store, jobs=2, shards=2)
 
     def test_lint_shard_never_raises_on_missing_store(self, tmp_path):
         task = build_store_shard_tasks(tmp_path / "gone.rcs", 4, 1)[0]

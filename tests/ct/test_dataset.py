@@ -40,12 +40,12 @@ class TestRoundtrip:
         assert set(loaded.ca_certificates) == set(corpus.ca_certificates)
 
     def test_loaded_corpus_lints_identically(self, corpus, tmp_path):
-        from repro.analysis import lint_corpus
+        from repro.engine import Engine
 
         root = export_corpus(corpus, tmp_path / "dataset")
         loaded = load_corpus(root)
-        original_reports = lint_corpus(corpus)
-        loaded_reports = lint_corpus(loaded)
+        original_reports = Engine().run_corpus(corpus, 1, collect_reports=True).reports
+        loaded_reports = Engine().run_corpus(loaded, 1, collect_reports=True).reports
         assert [sorted(r.fired_lints()) for r in original_reports] == [
             sorted(r.fired_lints()) for r in loaded_reports
         ]

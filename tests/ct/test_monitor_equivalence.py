@@ -10,7 +10,7 @@
 import pytest
 
 from repro.ct import CorpusGenerator, MonitorConfig, TailLog, TailMonitor, drive
-from repro.engine import run_corpus
+from repro.engine import Engine
 from repro.lint import summary_to_json
 
 #: jobs=4 over 128-entry batches genuinely dispatches to the pool
@@ -26,7 +26,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def one_shot(corpus):
-    return summary_to_json(run_corpus(corpus, jobs=1).summary)
+    return summary_to_json(Engine().run_corpus(corpus, jobs=1).summary)
 
 
 def _config(tmp_path, jobs):

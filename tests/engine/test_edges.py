@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.engine import PoolExecutor, SerialExecutor, merge_shard_results, run_corpus
+from repro.engine import Engine, PoolExecutor, SerialExecutor, merge_shard_results
 from repro.lint import summary_to_json
 from repro.lint.runner import CorpusSummary
 from repro.lint.parallel import (
@@ -22,7 +22,6 @@ from repro.lint.parallel import (
     ShardTask,
     build_shard_tasks,
     default_shard_count,
-    lint_corpus_parallel,
     resolve_jobs,
     shard_bounds,
     usable_cpus,
@@ -124,7 +123,7 @@ class TestShardTasks:
 
 class TestEmptyCorpus:
     def test_run_corpus_empty_is_a_clean_no_op(self):
-        outcome = run_corpus([], jobs=4)
+        outcome = Engine().run_corpus([], jobs=4)
         assert outcome.shards == 0
         assert outcome.reports is None
         assert summary_to_json(outcome.summary) == summary_to_json(
@@ -132,14 +131,14 @@ class TestEmptyCorpus:
         )
 
     def test_run_corpus_empty_with_reports_collects_nothing(self):
-        outcome = run_corpus([], jobs=4, collect_reports=True)
+        outcome = Engine().run_corpus([], jobs=4, collect_reports=True)
         assert outcome.reports == []
 
 
 class TestJobsExceedRecords:
     def test_pool_run_clamps_workers(self):
         records = make_records(3)
-        outcome = lint_corpus_parallel(records, jobs=8, shards=3)
+        outcome = Engine().run_corpus(records, jobs=8, shards=3)
         # Three records, three shards: the pool is provisioned with
         # three workers, not eight.
         assert outcome.jobs == 3
@@ -147,7 +146,7 @@ class TestJobsExceedRecords:
 
     def test_tiny_corpus_collapses_to_serial(self):
         records = make_records(2)
-        outcome = lint_corpus_parallel(records, jobs=8)
+        outcome = Engine().run_corpus(records, jobs=8)
         # Two records fit one shard, which runs inline.
         assert outcome.jobs == 1
         assert outcome.shards == 1
@@ -161,19 +160,19 @@ class TestJobsPoolReconcile:
     def test_explicit_jobs_clamped_to_pool_size(self):
         records = make_records(6)
         with LintPool(2) as pool:
-            outcome = lint_corpus_parallel(records, jobs=8, pool=pool, shards=3)
+            outcome = Engine().run_corpus(records, jobs=8, pool=pool, shards=3)
         assert outcome.jobs == 2
 
     def test_explicit_smaller_jobs_rides_shared_pool(self):
         records = make_records(6)
         with LintPool(2) as pool:
-            outcome = lint_corpus_parallel(records, jobs=1, pool=pool, shards=3)
+            outcome = Engine().run_corpus(records, jobs=1, pool=pool, shards=3)
         assert outcome.jobs == 1
 
     def test_pool_jobs_clamped_to_record_count(self):
         records = make_records(2)
         with LintPool(4) as pool:
-            outcome = lint_corpus_parallel(records, pool=pool, shards=2)
+            outcome = Engine().run_corpus(records, pool=pool, shards=2)
         assert outcome.jobs == 2
 
 

@@ -6,7 +6,8 @@ unoptimized per-certificate loop with every derived-view cache
 disabled.  Covered here: merged corpus summaries (``jobs=1`` vs
 ``jobs=4`` vs reference, caches on vs :func:`caching_disabled`),
 collected per-certificate reports, the service worker primitive
-(timed vs untimed bodies), and the CLI JSON document.
+(its bodies vs the rendered reference reports), and the CLI JSON
+document.
 """
 
 import datetime as dt
@@ -15,9 +16,9 @@ import pytest
 
 from repro.cli import main
 from repro.ct import CorpusGenerator
-from repro.engine import Engine, lint_ders_timed, run_corpus
+from repro.engine import Engine, lint_ders_timed
 from repro.lint import run_lints, summarize, summary_to_json
-from repro.lint.parallel import lint_corpus_parallel, lint_ders_to_json
+from repro.lint.parallel import LintPool
 from repro.lint.serialization import report_to_json
 from repro.x509 import (
     Certificate,
@@ -50,8 +51,8 @@ def reference_reports(corpus):
 class TestCorpusSummaries:
     def test_serial_and_pool_match_reference(self, corpus, reference_reports):
         baseline = summary_to_json(summarize(reference_reports))
-        one = run_corpus(corpus, jobs=1)
-        four = run_corpus(corpus, jobs=4)
+        one = Engine().run_corpus(corpus, jobs=1)
+        four = Engine().run_corpus(corpus, jobs=4)
         assert summary_to_json(one.summary) == baseline
         assert summary_to_json(four.summary) == baseline
         assert one.jobs == 1
@@ -61,21 +62,14 @@ class TestCorpusSummaries:
         self, corpus, reference_reports
     ):
         baseline = summary_to_json(summarize(reference_reports))
-        outcome = run_corpus(corpus, jobs=2, optimized=False)
+        outcome = Engine().run_corpus(corpus, jobs=2, optimized=False)
         assert summary_to_json(outcome.summary) == baseline
-
-    def test_public_shim_matches_module_entry(self, corpus):
-        via_shim = lint_corpus_parallel(corpus, jobs=2)
-        via_engine = run_corpus(corpus, jobs=2)
-        assert summary_to_json(via_shim.summary) == summary_to_json(
-            via_engine.summary
-        )
 
 
 class TestCollectedReports:
     def test_reports_byte_identical_across_jobs(self, corpus, reference_reports):
-        one = run_corpus(corpus, jobs=1, collect_reports=True)
-        four = run_corpus(corpus, jobs=4, collect_reports=True)
+        one = Engine().run_corpus(corpus, jobs=1, collect_reports=True)
+        four = Engine().run_corpus(corpus, jobs=4, collect_reports=True)
         expected = [
             report_to_json(report, record.certificate)
             for report, record in zip(reference_reports, corpus.records)
@@ -87,29 +81,28 @@ class TestCollectedReports:
             ]
             assert got == expected
 
-    def test_analysis_entry_matches_reference(self, corpus, reference_reports):
-        from repro.analysis import lint_corpus
-
-        reports = lint_corpus(corpus, jobs=1)
-        assert len(reports) == len(corpus.records)
-        expected = [
-            report_to_json(report, record.certificate)
-            for report, record in zip(reference_reports, corpus.records)
-        ]
-        got = [
-            report_to_json(report, record.certificate)
-            for report, record in zip(reports, corpus.records)
-        ]
-        assert got == expected
-
 
 class TestServiceWorkerPrimitive:
-    def test_timed_bodies_match_untimed(self, corpus):
+    @staticmethod
+    def _reference_bodies(ders):
+        certs = [Certificate.from_der(der) for der in ders]
+        return [
+            report_to_json(run_lints(cert, optimized=False), cert)
+            for cert in certs
+        ]
+
+    def test_timed_bodies_match_reference(self, corpus):
         ders = tuple(r.certificate.to_der() for r in corpus.records[:16])
         batch = lint_ders_timed(ders)
-        assert batch.bodies == lint_ders_to_json(ders)
+        assert batch.bodies == self._reference_bodies(ders)
         assert batch.timings.certs == len(ders)
         assert batch.timings.bytes == sum(len(d) for d in ders)
+
+    def test_pool_bodies_match_reference(self, corpus):
+        ders = tuple(r.certificate.to_der() for r in corpus.records[:16])
+        with LintPool(1) as pool:
+            batch = pool.submit_timed(ders).result(timeout=60)
+        assert batch.bodies == self._reference_bodies(ders)
 
 
 class TestCliSurface:

@@ -14,8 +14,6 @@ from repro.engine import (
     WindowConfig,
     WindowedSummary,
     increment_pairs,
-    run_corpus,
-    run_increment,
 )
 from repro.lint import summary_to_json
 
@@ -27,7 +25,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def one_shot(corpus):
-    return summary_to_json(run_corpus(corpus, jobs=1).summary)
+    return summary_to_json(Engine().run_corpus(corpus, jobs=1).summary)
 
 
 def _fold_in_batches(corpus, batch_size, jobs):
@@ -88,8 +86,8 @@ class TestBatchShapes:
 
     def test_all_shapes_lint_identically(self, corpus):
         records = corpus.records[:40]
-        reference = run_increment(records, jobs=1)
-        raw = run_increment(increment_pairs(records), jobs=1)
+        reference = Engine().run_increment(records, jobs=1)
+        raw = Engine().run_increment(increment_pairs(records), jobs=1)
         assert summary_to_json(raw.summary) == summary_to_json(
             reference.summary
         )
@@ -97,13 +95,13 @@ class TestBatchShapes:
 
 class TestOutcomeContract:
     def test_empty_batch_is_a_zero_summary(self):
-        outcome = run_increment([], jobs=1)
+        outcome = Engine().run_increment([], jobs=1)
         assert outcome.summary.total == 0
         assert outcome.reports is None
 
     def test_reports_stay_private_to_the_fold(self, corpus):
         window = WindowedSummary(WindowConfig(index_window=100))
-        outcome = run_increment(
+        outcome = Engine().run_increment(
             corpus.records[:20], jobs=1, window=window
         )
         assert outcome.reports is None
@@ -111,14 +109,14 @@ class TestOutcomeContract:
 
     def test_collect_reports_rides_alongside_the_fold(self, corpus):
         window = WindowedSummary(WindowConfig(index_window=100))
-        outcome = run_increment(
+        outcome = Engine().run_increment(
             corpus.records[:20], jobs=1, window=window, collect_reports=True
         )
         assert len(outcome.reports) == 20
 
     def test_base_index_keys_the_tumbling_windows(self, corpus):
         window = WindowedSummary(WindowConfig(index_window=100))
-        run_increment(
+        Engine().run_increment(
             corpus.records[:20], base_index=250, jobs=1, window=window
         )
         assert window.index_windows() == [2]

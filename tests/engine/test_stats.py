@@ -9,7 +9,7 @@ surface through ``repro lint --stats`` / ``repro corpus --stats``.
 import datetime as dt
 
 from repro.cli import main
-from repro.engine import EngineStats, StageTimings, run_corpus
+from repro.engine import Engine, EngineStats, StageTimings
 from repro.x509 import (
     CertificateBuilder,
     GeneralName,
@@ -166,7 +166,7 @@ class TestStatsThreadedThroughRuns:
             for i in range(4)
         ]
         stats = EngineStats()
-        run_corpus(records, jobs=1, stats=stats)
+        Engine(stats).run_corpus(records, jobs=1)
         seconds = stats.stage_wall_seconds()
         assert set(seconds) == {"ingest", "decode", "lint", "sink"}
         assert stats.timings.certs == 4
@@ -188,7 +188,7 @@ class TestStatsThreadedThroughRuns:
             for i in range(4)
         ]
         stats = EngineStats()
-        run_corpus(records, jobs=2, shards=2, stats=stats)
+        Engine(stats).run_corpus(records, jobs=2, shards=2)
         wall = stats.stage_wall_seconds()
         cpu = stats.stage_cpu_seconds()
         # Parent wall covers ingest/execute/sink; the workers' own wall

@@ -3,12 +3,12 @@
 The compiled plan (:mod:`repro.lint.compiled`) is an over-approximation:
 a lint's trigger bits staying clear must *prove* compliance, and fired
 bits must hand off to the real check byte-for-byte.  These tests pin
-that contract three ways: per-report equivalence against both the
-interpreted dispatch and the unoptimized reference over a seeded
-corpus (jobs 1 and 4, fork and spawn pools), byte-identical replay of
-the committed fuzz witness corpus (adversarial inputs are exactly where
-a fused scanner would diverge), and plan-coverage invariants against
-the reviewed ``UNCOMPILED_MANIFEST``.
+that contract three ways: per-report equivalence against the
+``optimized=False`` reference oracle over a seeded corpus (jobs 1 and
+4, fork and spawn pools), byte-identical replay of the committed fuzz
+witness corpus (adversarial inputs are exactly where a fused scanner
+would diverge), and plan-coverage invariants against the reviewed
+``UNCOMPILED_MANIFEST``.
 """
 
 import base64
@@ -18,19 +18,9 @@ import pathlib
 import pytest
 
 from repro.ct import CorpusGenerator
-from repro.engine import EngineStats
-from repro.lint import (
-    REGISTRY,
-    index_for,
-    lint_corpus_parallel,
-    run_lints,
-    summary_to_json,
-)
-from repro.lint.compiled import (
-    UNCOMPILED_MANIFEST,
-    compiling_disabled,
-    warm_default_plan,
-)
+from repro.engine import Engine, EngineStats
+from repro.lint import REGISTRY, index_for, run_lints, summary_to_json
+from repro.lint.compiled import UNCOMPILED_MANIFEST, warm_default_plan
 from repro.lint.parallel import LintPool
 from repro.lint.serialization import report_to_json
 from repro.x509 import Certificate
@@ -54,41 +44,26 @@ class TestCompiledReportEquivalence:
             reference = run_lints(
                 record.certificate, issued_at=record.issued_at, optimized=False
             )
-            interpreted = run_lints(
-                record.certificate, issued_at=record.issued_at, compiled=False
-            )
             compiled = run_lints(record.certificate, issued_at=record.issued_at)
             assert _report_shape(compiled) == _report_shape(reference)
-            assert _report_shape(interpreted) == _report_shape(reference)
 
     def test_summary_identical_across_jobs_and_dispatch(self, corpus):
         baseline = summary_to_json(
-            lint_corpus_parallel(corpus, jobs=1, optimized=False).summary
+            Engine().run_corpus(corpus, jobs=1, optimized=False).summary
         )
         for jobs in (1, 4):
-            compiled = lint_corpus_parallel(corpus, jobs=jobs)
-            interpreted = lint_corpus_parallel(corpus, jobs=jobs, compiled=False)
+            compiled = Engine().run_corpus(corpus, jobs=jobs)
             assert summary_to_json(compiled.summary) == baseline
-            assert summary_to_json(interpreted.summary) == baseline
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_pool_equivalence_across_start_methods(self, corpus, start_method):
-        baseline = summary_to_json(lint_corpus_parallel(corpus, jobs=1).summary)
+        baseline = summary_to_json(
+            Engine().run_corpus(corpus, jobs=1, optimized=False).summary
+        )
         with LintPool(2, start_method=start_method) as pool:
             pool.prewarm()
-            outcome = lint_corpus_parallel(corpus, jobs=2, pool=pool)
+            outcome = Engine().run_corpus(corpus, jobs=2, pool=pool)
         assert summary_to_json(outcome.summary) == baseline
-
-    def test_compiling_disabled_context_pins_interpreted_path(self, corpus):
-        record = corpus.records[0]
-        reference = _report_shape(
-            run_lints(record.certificate, issued_at=record.issued_at, compiled=False)
-        )
-        with compiling_disabled():
-            pinned = _report_shape(
-                run_lints(record.certificate, issued_at=record.issued_at)
-            )
-        assert pinned == reference
 
 
 class TestWitnessReplayEquivalence:
@@ -113,11 +88,7 @@ class TestWitnessReplayEquivalence:
                 run_lints(cert_ref, optimized=False), cert_ref
             )
             compiled = report_to_json(run_lints(cert_new), cert_new)
-            interpreted = report_to_json(
-                run_lints(cert_new, compiled=False), cert_new
-            )
             assert compiled == reference, f"compiled diverged on {name}"
-            assert interpreted == reference, f"interpreted diverged on {name}"
             replayed += 1
         assert replayed >= 97
 
@@ -135,7 +106,7 @@ class TestCompiledPlanCoverage:
         assert compiled | uncompiled == registered
         assert not compiled & uncompiled
         # The compiler must cover the overwhelming majority of the
-        # registry — falling back interpreted is the exception.
+        # registry — an unclassified row is the exception.
         assert len(compiled) >= 90
 
 

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ct import CorpusGenerator
-from repro.engine import run_corpus
+from repro.engine import Engine
 from repro.lint import CorpusSummary, summary_to_json
 
 
 @pytest.fixture(scope="module")
 def reports():
     corpus = CorpusGenerator(seed=23, scale=0.00001).generate()
-    outcome = run_corpus(corpus, jobs=1, collect_reports=True)
+    outcome = Engine().run_corpus(corpus, jobs=1, collect_reports=True)
     return outcome.reports
 
 

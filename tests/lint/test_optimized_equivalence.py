@@ -16,7 +16,8 @@ import pytest
 from repro.asn1 import PRINTABLE_STRING
 from repro.asn1.oid import OID_COMMON_NAME, OID_EXT_SAN, OID_ORGANIZATION_NAME
 from repro.ct import CorpusGenerator
-from repro.lint import REGISTRY, lint_corpus_parallel, run_lints, summarize, summary_to_json
+from repro.engine import Engine
+from repro.lint import REGISTRY, run_lints, summarize, summary_to_json
 from repro.x509 import (
     AttributeTypeAndValue,
     CertificateBuilder,
@@ -61,9 +62,9 @@ class TestReportEquivalence:
             for r in corpus.records
         )
         baseline = summary_to_json(reference)
-        inline = lint_corpus_parallel(corpus, jobs=1)
-        fanout = lint_corpus_parallel(corpus, jobs=4)
-        unoptimized = lint_corpus_parallel(corpus, jobs=1, optimized=False)
+        inline = Engine().run_corpus(corpus, jobs=1)
+        fanout = Engine().run_corpus(corpus, jobs=4)
+        unoptimized = Engine().run_corpus(corpus, jobs=1, optimized=False)
         assert summary_to_json(inline.summary) == baseline
         assert summary_to_json(fanout.summary) == baseline
         assert summary_to_json(unoptimized.summary) == baseline
@@ -103,6 +104,19 @@ class TestReportEquivalence:
         assert not hasattr(cert, "_lint_ctx")
 
 
+def _no_skip_index(lints):
+    """An index whose dispatch plan never skips a lint: every row is
+    unclassified with no families, so every lint's applies() runs."""
+    from repro.lint.compiled import APPLIES_CALL
+    from repro.lint.framework import RegistryIndex
+
+    index = RegistryIndex(lints)
+    index.compiled_plan().entries = tuple(
+        (lint, None, None, 0, APPLIES_CALL) for lint in lints
+    )
+    return index
+
+
 class TestFamilySkipEquivalence:
     """Family skipping must be invisible (the staticcheck hazard).
 
@@ -119,9 +133,7 @@ class TestFamilySkipEquivalence:
 
         lints = REGISTRY.snapshot()
         skipping = RegistryIndex(lints)
-        no_skip = RegistryIndex(lints)
-        # Defeat the isdisjoint fast path: every lint's applies() runs.
-        no_skip.entries = tuple((lint, None) for lint in lints)
+        no_skip = _no_skip_index(lints)
         with_skip = summarize(
             run_lints(r.certificate, issued_at=r.issued_at, index=skipping)
             for r in corpus.records
@@ -133,11 +145,7 @@ class TestFamilySkipEquivalence:
         assert summary_to_json(with_skip) == summary_to_json(without_skip)
 
     def test_per_report_skip_equivalence(self, corpus):
-        from repro.lint.framework import REGISTRY, RegistryIndex
-
-        lints = REGISTRY.snapshot()
-        no_skip = RegistryIndex(lints)
-        no_skip.entries = tuple((lint, None) for lint in lints)
+        no_skip = _no_skip_index(REGISTRY.snapshot())
         for record in corpus.records[:40]:
             skipped = run_lints(record.certificate, issued_at=record.issued_at)
             full = run_lints(

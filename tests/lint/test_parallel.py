@@ -12,15 +12,14 @@ import json
 import pytest
 
 from repro.ct import CorpusGenerator
+from repro.engine import Engine
 from repro.lint import (
     CorpusSummary,
     REGISTRY,
     ShardError,
-    lint_corpus_parallel,
     run_lints,
     shard_bounds,
     summarize,
-    summarize_corpus_parallel,
     summary_to_json,
 )
 from repro.lint.framework import LintRegistry
@@ -149,20 +148,20 @@ class TestDeterminism:
     def test_jobs4_byte_identical_to_jobs1(self, corpus):
         # The ISSUE acceptance check: same seed, different job counts,
         # byte-for-byte identical summaries.
-        one = lint_corpus_parallel(corpus, jobs=1)
-        four = lint_corpus_parallel(corpus, jobs=4)
+        one = Engine().run_corpus(corpus, jobs=1)
+        four = Engine().run_corpus(corpus, jobs=4)
         assert summary_to_json(one.summary) == summary_to_json(four.summary)
 
     def test_pipeline_matches_classic_sequential_path(self, corpus):
-        from repro.analysis import lint_corpus
-
-        classic = summarize(lint_corpus(corpus, jobs=1))
-        piped = summarize_corpus_parallel(corpus, jobs=2)
+        classic = summarize(
+            run_lints(r.certificate, issued_at=r.issued_at) for r in corpus.records
+        )
+        piped = Engine().run_corpus(corpus, jobs=2).summary
         assert summary_to_json(classic) == summary_to_json(piped)
 
     def test_reports_come_back_in_corpus_order(self, corpus):
-        seq = lint_corpus_parallel(corpus, jobs=1, collect_reports=True)
-        par = lint_corpus_parallel(corpus, jobs=2, collect_reports=True)
+        seq = Engine().run_corpus(corpus, jobs=1, collect_reports=True)
+        par = Engine().run_corpus(corpus, jobs=2, collect_reports=True)
         assert len(seq.reports) == len(par.reports) == len(corpus.records)
         for left, right in zip(seq.reports, par.reports):
             assert json.dumps(report_to_dict(left), sort_keys=True) == json.dumps(
@@ -170,21 +169,21 @@ class TestDeterminism:
             )
 
     def test_shard_count_does_not_change_summary(self, corpus):
-        a = lint_corpus_parallel(corpus, jobs=1, shards=1)
-        b = lint_corpus_parallel(corpus, jobs=1, shards=7)
+        a = Engine().run_corpus(corpus, jobs=1, shards=1)
+        b = Engine().run_corpus(corpus, jobs=1, shards=7)
         assert summary_to_json(a.summary) == summary_to_json(b.summary)
 
     def test_empty_corpus(self):
-        outcome = lint_corpus_parallel([], jobs=4, collect_reports=True)
+        outcome = Engine().run_corpus([], jobs=4, collect_reports=True)
         assert outcome.summary.total == 0
         assert outcome.reports == []
         assert outcome.shards == 0
 
     def test_respects_effective_dates_flag(self, corpus):
-        with_dates = summarize_corpus_parallel(corpus, jobs=2)
-        without = summarize_corpus_parallel(
+        with_dates = Engine().run_corpus(corpus, jobs=2).summary
+        without = Engine().run_corpus(
             corpus, jobs=2, respect_effective_dates=False
-        )
+        ).summary
         assert without.noncompliant >= with_dates.noncompliant
 
 
@@ -208,14 +207,14 @@ class TestWorkerCrash:
 
     def test_shard_failure_surfaces_clear_error_parallel(self, corpus):
         with pytest.raises(ShardError) as excinfo:
-            lint_corpus_parallel(self._poisoned(corpus), jobs=2, shards=4)
+            Engine().run_corpus(self._poisoned(corpus), jobs=2, shards=4)
         message = str(excinfo.value)
         assert "shard" in message
         assert "parallel lint pipeline" in message
 
     def test_shard_failure_surfaces_clear_error_inline(self, corpus):
         with pytest.raises(ShardError) as excinfo:
-            lint_corpus_parallel(self._poisoned(corpus), jobs=1, shards=4)
+            Engine().run_corpus(self._poisoned(corpus), jobs=1, shards=4)
         assert excinfo.value.index >= 0
 
     def test_lint_shard_never_raises(self, corpus):
@@ -270,34 +269,38 @@ class TestLintPool:
     def test_corpus_results_identical_through_a_reused_pool(self, corpus):
         from repro.lint.parallel import LintPool
 
-        baseline = summary_to_json(lint_corpus_parallel(corpus, jobs=1).summary)
+        baseline = summary_to_json(Engine().run_corpus(corpus, jobs=1).summary)
         with LintPool(jobs=2) as pool:
-            first = lint_corpus_parallel(corpus, pool=pool)
-            second = lint_corpus_parallel(corpus, pool=pool)
+            first = Engine().run_corpus(corpus, pool=pool)
+            second = Engine().run_corpus(corpus, pool=pool)
             assert summary_to_json(first.summary) == baseline
             assert summary_to_json(second.summary) == baseline
             assert first.jobs == 2
 
-    def test_submit_json_matches_cli_serialization(self):
+    def test_submit_timed_matches_cli_serialization(self):
+        from repro.engine import lint_ders_timed
         from repro.lint import report_to_json
-        from repro.lint.parallel import LintPool, lint_ders_to_json
+        from repro.lint.parallel import LintPool
 
         certs = [_cert("pool-a.example.com"), _cert("bad\x00pool.example.com")]
         ders = tuple(c.to_der() for c in certs)
         expected = [
-            report_to_json(run_lints(c), c) for c in certs
+            report_to_json(run_lints(c, optimized=False), c) for c in certs
         ]
         # Inline worker function...
-        assert lint_ders_to_json(ders) == expected
+        assert lint_ders_timed(ders).bodies == expected
         # ...and through a real worker process.
         with LintPool(jobs=1) as pool:
-            assert pool.submit_json(ders).result(timeout=60) == expected
+            assert pool.submit_timed(ders).result(timeout=60).bodies == expected
 
     def test_shutdown_is_idempotent_and_reentrant(self):
+        from repro.lint import report_to_json
         from repro.lint.parallel import LintPool
 
+        cert = _cert("re.example.com")
         pool = LintPool(jobs=1)
         pool.shutdown()  # never started: no executor to tear down
-        pool.submit_json((_cert("re.example.com").to_der(),)).result(timeout=60)
+        batch = pool.submit_timed((cert.to_der(),)).result(timeout=60)
+        assert batch.bodies == [report_to_json(run_lints(cert, optimized=False), cert)]
         pool.shutdown()
         pool.shutdown()

@@ -9,8 +9,9 @@ import datetime as dt
 
 import pytest
 
-from repro.analysis import build_table1, lint_corpus
+from repro.analysis import build_table1
 from repro.ct import ALL_MONITORS, CorpusGenerator, CTLog
+from repro.engine import Engine
 from repro.lint import run_lints
 from repro.tlslibs import ALL_PROFILES, PYOPENSSL, verify_hostname
 from repro.x509 import (
@@ -85,7 +86,7 @@ class TestCorpusToAnalysisPipeline:
 
     def test_small_end_to_end(self):
         corpus = CorpusGenerator(seed=33, scale=1 / 50000).generate()
-        reports = lint_corpus(corpus)
+        reports = Engine().run_corpus(corpus, 1, collect_reports=True).reports
         table = build_table1(corpus, reports)
         assert table.total_certs == len(corpus.records)
         assert table.nc_certs >= 3  # the NFC trio at minimum

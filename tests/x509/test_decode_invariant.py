@@ -16,7 +16,7 @@ import pytest
 from repro.asn1 import ASN1Error, parse
 from repro.ct import CorpusGenerator
 from repro.ct.corpus import Corpus
-from repro.engine import run_corpus
+from repro.engine import Engine
 from repro.lint import run_lints
 from repro.lint.parallel import LintPool
 from repro.lint.serialization import report_to_json
@@ -78,12 +78,13 @@ def _rendered(corpus, outcome) -> list[str]:
 
 def test_corpus_reports_match_reference_across_jobs(corpus):
     reference = _rendered(
-        corpus, run_corpus(corpus, 1, collect_reports=True, optimized=False)
+        corpus, Engine().run_corpus(corpus, 1, collect_reports=True, optimized=False)
     )
     assert len(reference) == len(corpus.records)
-    assert _rendered(corpus, run_corpus(corpus, 1, collect_reports=True)) == reference
+    outcome = Engine().run_corpus(corpus, 1, collect_reports=True)
+    assert _rendered(corpus, outcome) == reference
     for start_method in ("fork", "spawn"):
         with LintPool(4, start_method=start_method) as pool:
-            outcome = run_corpus(corpus, 4, collect_reports=True, pool=pool)
+            outcome = Engine().run_corpus(corpus, 4, collect_reports=True, pool=pool)
         assert outcome.jobs == 4
         assert _rendered(corpus, outcome) == reference, start_method
